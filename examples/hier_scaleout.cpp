@@ -1,5 +1,5 @@
 // Flat single-aggregator AdaptiveFL vs the hierarchical multi-aggregator
-// engine (docs/HIERARCHY.md) on one seeded smoke environment, all three runs
+// topology (docs/HIERARCHY.md) on one seeded smoke environment, all three runs
 // over the same simulated fp16 transport:
 //
 //   run 0  flat RoundEngine (the baseline)

@@ -422,7 +422,7 @@ RunResult AsyncEngine::run(AsyncRoundPolicy& policy) {
     // buffer_wait runs from each arrival to here.
     lifecycle.commit_window(clock.now(), /*commit_shard=*/-1,
                             static_cast<long long>(new_version));
-    obs::sample_rss();  // same memory gauges as the hierarchical engine's syncs
+    obs::sample_rss();  // same memory gauges as RoundEngine's sync rounds
     policy.end_round(flushes, *telemetry);
     telemetry->set_sim_time(clock.now() - last_flush_time, clock.now());
     last_flush_time = clock.now();

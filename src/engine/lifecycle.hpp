@@ -4,12 +4,12 @@
 // Every dispatch of a time-modeling run gets a stable dispatch_id whose
 // virtual-clock phases — select → downlink → compute → uplink(+retries/
 // backoff) → buffer_wait → commit, or a terminal drop — are emitted as
-// structured `lifecycle` records in the AFL_TRACE_JSONL stream. All three
-// engines (sync RoundEngine, src/async/ event engine, src/hier/ edge/root
-// pipeline) feed one LifecycleTracker per run:
+// structured `lifecycle` records in the AFL_TRACE_JSONL stream. Both
+// engines (the synchronous RoundEngine, flat or hierarchical, and the
+// src/async/ event engine) feed one LifecycleTracker per run:
 //
-//   - sync/hier assign sequential ids during the sequential planning pass,
-//     so ids are invariant to AFL_THREADS and the shard count;
+//   - RoundEngine assigns sequential ids during the sequential planning
+//     pass, so ids are invariant to AFL_THREADS and the shard count;
 //   - the async engine reuses its dispatch counter (slot.round) as the id.
 //
 // Phase intervals live on the run's virtual clock (run-global simulated

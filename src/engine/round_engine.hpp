@@ -1,5 +1,5 @@
 #pragma once
-// The shared federated round engine (see docs/ENGINE.md).
+// The synchronous federated round engine (see docs/ENGINE.md).
 //
 // Every runner used to hand-roll the same loop: select clients, dispatch
 // models, check availability, adapt to the device's capacity, train locally,
@@ -11,8 +11,15 @@
 //                     (engine: dispatch accounting, availability check,
 //                      failure bookkeeping, on_* feedback hooks)
 //                  -> [parallel]              execute (thread pool)
-//                  -> [sequential, slot order] commit
+//                  -> [sequential, shard-major] commit
 //                  -> aggregate -> end_round -> evaluate (when due)
+//
+// Topology: the loop runs over S edge aggregators, client c owned by edge
+// c % S, each with its own simulated clock. A flat run is the one-edge case:
+// commit()/aggregate() are the policy's own. A hierarchical run
+// (hier::HierConfig, docs/HIERARCHY.md) folds each edge's updates into a
+// mergeable ShardPartial and merges them at the root every sync_every
+// rounds; with sync_every == 1 it is bit-identical to the flat run for any S.
 //
 // Determinism contract: all policy hooks except execute() run on the engine
 // thread, strictly sequentially, in slot order. execute() runs on a worker
@@ -46,6 +53,7 @@
 
 #include "engine/run.hpp"
 #include "fl/local_train.hpp"
+#include "hier/config.hpp"
 #include "net/transport.hpp"
 #include "nn/checkpoint.hpp"
 #include "nn/param.hpp"
@@ -225,23 +233,22 @@ class AsyncRoundPolicy : public RoundPolicy {
                                double weight_scale) = 0;
 };
 
-/// Extension consumed by the hierarchical multi-aggregator engine (src/hier/,
-/// docs/HIERARCHY.md). The hierarchical engine plans rounds through the same
-/// sequential hooks (engine/plan.hpp) but owns aggregation itself: shard-local
-/// ShardAggregators fold the updates and a root merger commits the new global,
-/// so commit()/aggregate() are never called. That requires direct access to
-/// the policy's global parameter set plus a payload split against an explicit
-/// (possibly shard-local) model.
+/// Extension consumed by RoundEngine's hierarchical topology (docs/HIERARCHY.md).
+/// Planning runs through the same sequential hooks, but the engine owns
+/// aggregation: edge ShardAggregators fold the updates and the root merge
+/// commits the new global, so commit()/aggregate() are never called. That
+/// requires direct access to the policy's global parameter set plus a
+/// payload split against an explicit (possibly edge-local) model.
 class HierRoundPolicy : public AsyncRoundPolicy {
  public:
   /// The policy's current global parameter set (frozen between syncs).
   virtual const ParamSet& hier_global() const = 0;
 
-  /// Replaces the global parameter set (the root merger's commit).
+  /// Replaces the global parameter set (the root merge's commit).
   virtual void hier_set_global(ParamSet global) = 0;
 
   /// The downlink payload for `slot` split from an explicit model — the
-  /// hierarchical analogue of dispatch_params(), used when shard models
+  /// hierarchical analogue of dispatch_params(), used when edge models
   /// diverge from the root global between syncs (sync_every > 1).
   virtual ParamSet hier_dispatch_params(const ClientSlot& slot,
                                         const ParamSet& model) const = 0;
@@ -255,9 +262,16 @@ class RoundEngine {
   /// `population` (optional, not owned) supplies churn telemetry and
   /// per-client channel profiles (docs/POPULATION.md); the churn schedules
   /// themselves reach the engine through the devices' presence pointers.
+  /// `hier` is the caller's resolved hierarchy: disabled (the default) runs
+  /// flat on one edge whatever config.hier says; enabled requires run() to
+  /// be given a HierRoundPolicy.
   RoundEngine(const FlRunConfig& config, const std::vector<DeviceSim>* devices,
-              const pop::Population* population = nullptr);
+              const pop::Population* population = nullptr,
+              const hier::HierConfig& hier = {});
 
+  /// Snapshot/resume (docs/POPULATION.md): snapshots are cut only at
+  /// root-sync rounds (every round when flat), where no edge holds un-merged
+  /// updates, so the file carries the edge clocks plus the policy state.
   RunResult run(RoundPolicy& policy);
 
   /// Worker threads the engine resolved (config.threads or AFL_THREADS).
@@ -269,6 +283,7 @@ class RoundEngine {
 
  private:
   FlRunConfig config_;
+  hier::HierConfig hier_;
   const std::vector<DeviceSim>* devices_;
   const pop::Population* population_;
   std::size_t threads_;

@@ -1,6 +1,7 @@
 #pragma once
-// Engine snapshot/resume plumbing shared by the sync (src/engine/), async
-// (src/async/), and hierarchical (src/hier/) engines — docs/POPULATION.md.
+// Engine snapshot/resume plumbing shared by the synchronous RoundEngine
+// (flat or hierarchical) and the async engine (src/async/) —
+// docs/POPULATION.md.
 //
 // A snapshot is an AFLSNAP1 file (nn/checkpoint.hpp SnapshotWriter/Reader:
 // CRC-32-verified typed primitives) capturing everything a run needs to
@@ -8,8 +9,8 @@
 // RunResult (curve, comm counters, simulated clock — everything except the
 // wall-clock round_metrics, which are inherently nondeterministic and are
 // excluded from the bit-identity contract), the engine RNG, and
-// engine-specific state (virtual clocks, in-flight async buffers, edge
-// models) plus the policy's own state via RoundPolicy::snapshot_state().
+// engine-specific state (edge clocks, in-flight async buffers) plus the
+// policy's own state via RoundPolicy::snapshot_state().
 //
 // Resume order everywhere: the engine calls policy.init_global(rng) first
 // (structure: model shapes, table sizes), then restores the snapshot over
@@ -28,10 +29,10 @@ namespace afl::engine {
 
 /// Per-engine snapshot format ids (the first field of every snapshot file).
 /// An engine refuses to resume a snapshot written by another engine or an
-/// older layout revision.
-inline constexpr const char* kSyncSnapshotFormat = "afl.snap.sync.v1";
+/// older layout revision. The sync format carries one clock per edge (flat
+/// runs have one), so flat and hierarchical runs share it.
+inline constexpr const char* kSyncSnapshotFormat = "afl.snap.sync.v2";
 inline constexpr const char* kAsyncSnapshotFormat = "afl.snap.async.v1";
-inline constexpr const char* kHierSnapshotFormat = "afl.snap.hier.v1";
 
 /// Resolved snapshot/resume plan of one run. FlRunConfig fields take
 /// precedence; unset fields fall back to the AFL_SNAPSHOT /

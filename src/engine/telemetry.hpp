@@ -23,7 +23,7 @@ namespace afl::engine {
 inline constexpr const char* kTraceSchema = "afl.trace.v3";
 
 /// Emits the run_start header. `mode` tags non-default execution models
-/// (the async engine passes "async", the hierarchical engine "hier"); null
+/// (the async engine passes "async", hierarchical RoundEngine runs "hier"); null
 /// omits the field so synchronous traces stay byte-identical. `shards` > 0
 /// adds the hierarchical topology columns (shards, sync_every).
 /// `population`, when non-null, adds the population columns (fleet size,

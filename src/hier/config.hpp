@@ -1,22 +1,22 @@
 #pragma once
-// Configuration of the hierarchical multi-aggregator engine (src/hier/,
-// docs/HIERARCHY.md). Standalone header (no library dependencies beyond the
-// standard library) so FlRunConfig can embed it without afl_engine linking
-// against afl_hier; from_env() lives in src/hier/config.cpp.
+// Configuration of RoundEngine's hierarchical topology (docs/HIERARCHY.md).
+// Standalone header (no library dependencies beyond the standard library) so
+// FlRunConfig can embed it without afl_engine linking against afl_hier;
+// from_env() lives in src/hier/config.cpp.
 //
-// The hierarchical engine partitions the client population across `shards`
-// edge aggregators. Each edge folds its partition's updates into a mergeable
-// coverage-mass partial (fl/shard_aggregator.hpp); a root merger combines
-// the shard partials every `sync_every` edge rounds and commits the new
-// global model. With sync_every == 1 the result is bit-identical to the
-// single-aggregator RoundEngine for any shard count and any AFL_THREADS.
+// A hierarchical run partitions the client population across `shards` edge
+// aggregators. Each edge folds its partition's updates into a mergeable
+// coverage-mass partial (fl/shard_aggregator.hpp); the root merges the edge
+// partials every `sync_every` edge rounds and commits the new global model.
+// With sync_every == 1 the result is bit-identical to the flat (one-edge)
+// run for any shard count and any AFL_THREADS.
 
 #include <cstddef>
 
 namespace afl::hier {
 
 struct HierConfig {
-  /// Master switch. Disabled (default) keeps the single-aggregator engines.
+  /// Master switch. Disabled (default) runs flat, on one aggregator.
   bool enabled = false;
   /// Number of edge aggregator shards; clients are partitioned by
   /// client_id % shards. 0 resolves to 1.

@@ -15,6 +15,7 @@
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "obs/status.hpp"
+#include "util/env.hpp"
 
 namespace afl::obs {
 namespace {
@@ -191,12 +192,11 @@ void stop_default_server() {
 
 bool ensure_default_http_server() {
   static const bool active = [] {
-    const char* env = std::getenv("AFL_HTTP_PORT");
-    if (env == nullptr || env[0] == '\0') return false;
-    const int port = std::atoi(env);
+    if (env_or("AFL_HTTP_PORT", std::string()).empty()) return false;
+    const int port = env_or("AFL_HTTP_PORT", 0);
     if (port < 0 || port > 65535) {
-      std::fprintf(stderr, "[WARN] obs: AFL_HTTP_PORT=%s out of range; not serving\n",
-                   env);
+      std::fprintf(stderr, "[WARN] obs: AFL_HTTP_PORT=%d out of range; not serving\n",
+                   port);
       return false;
     }
     auto* server = new HttpServer();  // leaked: lives until atexit stop

@@ -1,6 +1,6 @@
 #pragma once
 // Population dynamics: deterministic churn schedules and per-client channel
-// profiles for all three engines (docs/POPULATION.md).
+// profiles for flat, hierarchical and async runs (docs/POPULATION.md).
 //
 // The Population owns one PresenceSchedule per client. Presence is a pure
 // function of (seed, round, client) — the parametric ring-rotation process

@@ -5,7 +5,9 @@
 
 namespace afl {
 
-/// Returns the env var value or `fallback` when unset / empty.
+/// Returns the env var value or `fallback` when unset / empty. The numeric
+/// overloads parse the whole value strictly and throw std::invalid_argument
+/// naming the variable on malformed input, trailing characters or overflow.
 std::string env_or(const std::string& name, const std::string& fallback);
 int env_or(const std::string& name, int fallback);
 double env_or(const std::string& name, double fallback);

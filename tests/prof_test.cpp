@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/experiment.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof/prof.hpp"
@@ -48,6 +49,38 @@ class ProfTest : public ::testing::Test {
     reset();
   }
 };
+
+TEST_F(ProfTest, FinalOnlyEvaluationIsAttributed) {
+  // eval_every = 0 evaluates once, after the round loop; that evaluation
+  // must land in the same engine.evaluate span as in-loop ones, for flat
+  // and hierarchical runs alike.
+  ExperimentConfig cfg;
+  cfg.num_clients = 6;
+  cfg.clients_per_round = 3;
+  cfg.samples_per_client = 6;
+  cfg.test_samples = 12;
+  cfg.image_hw = 8;
+  cfg.rounds = 2;
+  cfg.local_epochs = 1;
+  cfg.batch_size = 6;
+  ExperimentEnv env = make_env(cfg);
+  env.run.eval_every = 0;
+  env.run.net = net::NetConfig{};
+  env.run.pop = pop::PopConfig{};
+  hier::HierConfig hier;
+  hier.shards = 2;
+  for (const bool enabled : {false, true}) {
+    SCOPED_TRACE(enabled ? "hier" : "flat");
+    reset();
+    hier.enabled = enabled;
+    env.run.hier = hier;
+    const RunResult r = run_algorithm(Algorithm::kAdaptiveFl, env);
+    EXPECT_EQ(r.curve.size(), 1u);
+    const SpanStats* eval = find(snapshot(), "engine.evaluate");
+    ASSERT_NE(eval, nullptr);
+    EXPECT_EQ(eval->count, 1u);
+  }
+}
 
 TEST_F(ProfTest, DisabledSpansRecordNothing) {
   set_profiling(false);

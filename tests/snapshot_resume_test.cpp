@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "nn/checkpoint.hpp"
 #include "pop/config.hpp"
 
 namespace afl {
@@ -273,6 +274,58 @@ TEST(SnapshotResume, WrongEngineSnapshotIsRejected) {
   env.run.net->round_deadline_s = 0.0;
   EXPECT_THROW(run_algorithm(Algorithm::kAdaptiveFlAsync, env),
                std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotResume, PreviousSyncFormatIsRejected) {
+  // A well-formed file from the earlier sync layout (no edge-clock list)
+  // must be refused by its format id, before any field is misread.
+  ExperimentEnv env = small_env();
+  const std::string path = snap_path("sync_v1");
+  {
+    SnapshotWriter w(path);
+    w.str("afl.snap.sync.v1");
+    w.str("AdaptiveFL+CS");
+    w.u64(env.run.seed);
+    w.u64(env.run.rounds);
+    w.u64(env.run.clients_per_round);
+    w.u64(3);
+    w.finish();
+  }
+  env.run.resume_from = path;
+  try {
+    run_algorithm(Algorithm::kAdaptiveFl, env);
+    ADD_FAILURE() << "resuming a afl.snap.sync.v1 file did not throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("afl.snap.sync.v1"), std::string::npos) << what;
+    EXPECT_NE(what.find("afl.snap.sync.v2"), std::string::npos) << what;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotResume, FlatSnapshotResumesAsOneShardHier) {
+  // Flat is the one-edge topology: a flat snapshot resumed with shards=1,
+  // sync_every=1 must reproduce the uninterrupted flat run bit for bit.
+  ExperimentEnv env = small_env();
+  const RunResult full = run_algorithm(Algorithm::kAdaptiveFl, env);
+
+  const std::string path = snap_path("flat_to_hier");
+  env.run.snapshot_path = path;
+  env.run.snapshot_every = std::size_t{1};
+  env.run.stop_after_round = std::size_t{3};
+  env.run.hier = hier::HierConfig{};  // disabled: flat
+  run_algorithm(Algorithm::kAdaptiveFl, env);
+
+  env.run.snapshot_path = std::string{};
+  env.run.stop_after_round = std::size_t{0};
+  env.run.resume_from = path;
+  hier::HierConfig hcfg;
+  hcfg.enabled = true;
+  hcfg.shards = 1;
+  hcfg.sync_every = 1;
+  env.run.hier = hcfg;
+  expect_identical(run_algorithm(Algorithm::kAdaptiveFl, env), full);
   std::remove(path.c_str());
 }
 

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "util/env.hpp"
 #include "util/rng.hpp"
@@ -218,7 +220,56 @@ TEST(Env, ReadsValues) {
   ::setenv("AFL_TEST_ENV_X", "17", 1);
   EXPECT_EQ(env_or("AFL_TEST_ENV_X", 5), 17);
   EXPECT_EQ(env_or("AFL_TEST_ENV_X", std::string("d")), "17");
+  ::setenv("AFL_TEST_ENV_X", "-3", 1);
+  EXPECT_EQ(env_or("AFL_TEST_ENV_X", 5), -3);
+  ::setenv("AFL_TEST_ENV_X", "0.25", 1);
+  EXPECT_DOUBLE_EQ(env_or("AFL_TEST_ENV_X", 2.5), 0.25);
+  ::setenv("AFL_TEST_ENV_X", "1e3", 1);
+  EXPECT_DOUBLE_EQ(env_or("AFL_TEST_ENV_X", 2.5), 1000.0);
   ::unsetenv("AFL_TEST_ENV_X");
+}
+
+/// The invalid_argument message of env_or(name, fallback), or "" if none.
+template <typename T>
+std::string env_error(const char* value, T fallback) {
+  ::setenv("AFL_TEST_ENV_X", value, 1);
+  std::string what;
+  try {
+    env_or("AFL_TEST_ENV_X", fallback);
+  } catch (const std::invalid_argument& e) {
+    what = e.what();
+  }
+  ::unsetenv("AFL_TEST_ENV_X");
+  return what;
+}
+
+TEST(Env, RejectsMalformedNumbers) {
+  // A switch spelled as a word must not silently read as 0 (disabled).
+  for (const char* bad : {"true", "yes", "abc", " 4", "+", "-"}) {
+    SCOPED_TRACE(bad);
+    EXPECT_NE(env_error(bad, 0), "");
+    EXPECT_NE(env_error(bad, 0.0), "");
+  }
+  const std::string what = env_error("abc", 0);
+  EXPECT_NE(what.find("AFL_TEST_ENV_X"), std::string::npos) << what;
+  EXPECT_NE(what.find("abc"), std::string::npos) << what;
+}
+
+TEST(Env, RejectsTrailingGarbage) {
+  EXPECT_NE(env_error("4x", 1), "");
+  EXPECT_NE(env_error("4 ", 1), "");
+  EXPECT_NE(env_error("1.5", 1), "");  // not an integer
+  EXPECT_NE(env_error("0.5ms", 1.0), "");
+  EXPECT_NE(env_error("1e3x", 1.0), "");
+}
+
+TEST(Env, RejectsOverflow) {
+  EXPECT_NE(env_error("2147483648", 0), "");
+  EXPECT_NE(env_error("-2147483649", 0), "");
+  EXPECT_NE(env_error("99999999999999999999999", 0), "");
+  EXPECT_NE(env_error("1e999", 0.0), "");
+  const std::string what = env_error("2147483648", 0);
+  EXPECT_NE(what.find("2147483648"), std::string::npos) << what;
 }
 
 }  // namespace

@@ -17,7 +17,7 @@
 // records are segmented at `run_start` headers. clients/rounds/diff operate
 // on the last run unless --run selects another. `summary` adds a per-shard
 // client/byte/straggler breakdown when a run's dispatch records carry the
-// hierarchical engine's shard tags (docs/HIERARCHY.md), and exits 1 on a run
+// shard tags of hierarchical runs (docs/HIERARCHY.md), and exits 1 on a run
 // mixing shard-tagged and untagged dispatches (corrupt/interleaved trace). `diff` compares final
 // accuracy, round p95 wall time, and total dispatched params of the last run
 // in each file (--base-run / --cand-run select others, so one two-run trace
@@ -222,7 +222,7 @@ struct RunStats {
   double last_active = 0.0;
 
   // Per-shard rollup; populated only when dispatch records carry the "shard"
-  // tag written by the hierarchical engine (docs/HIERARCHY.md). Within one
+  // tag written by hierarchical runs (docs/HIERARCHY.md). Within one
   // run the engine either tags every dispatch or none, so a run mixing tagged
   // and untagged dispatches is bad data (two traces interleaved into one
   // segment) — summary refuses it via mixed_shard_tags().
@@ -768,7 +768,7 @@ int cmd_critical_path(const TraceFile& file, int run_index, std::size_t top_k) {
   }
   std::printf("%s", t.to_markdown().c_str());
 
-  // Shard table only when the run carried shard tags (hierarchical engine).
+  // Shard table only when the run carried shard tags (hierarchical run).
   bool tagged = false;
   for (const auto& [shard, seconds] : cp.by_shard) tagged |= shard >= 0;
   if (tagged) {
