@@ -1,7 +1,5 @@
 #include "async/config.hpp"
 
-#include <algorithm>
-
 #include "util/env.hpp"
 
 namespace afl::async {
@@ -9,17 +7,13 @@ namespace afl::async {
 AsyncConfig AsyncConfig::from_env() {
   AsyncConfig cfg;
   cfg.enabled = env_or("AFL_ASYNC", 0) != 0;
-  cfg.buffer_size =
-      static_cast<std::size_t>(std::max(0, env_or("AFL_ASYNC_BUFFER", 0)));
-  cfg.concurrency =
-      static_cast<std::size_t>(std::max(0, env_or("AFL_ASYNC_CONCURRENCY", 0)));
+  cfg.buffer_size = env_count("AFL_ASYNC_BUFFER", cfg.buffer_size);
+  cfg.concurrency = env_count("AFL_ASYNC_CONCURRENCY", cfg.concurrency);
   cfg.staleness_alpha = env_or("AFL_ASYNC_ALPHA", cfg.staleness_alpha);
-  cfg.max_staleness = static_cast<std::size_t>(
-      std::max(0, env_or("AFL_ASYNC_MAX_STALENESS", 0)));
+  cfg.max_staleness = env_count("AFL_ASYNC_MAX_STALENESS", cfg.max_staleness);
   cfg.failure_timeout_s =
       env_or("AFL_ASYNC_TIMEOUT_MS", cfg.failure_timeout_s * 1000.0) / 1000.0;
-  cfg.max_reuploads = static_cast<std::size_t>(std::max(
-      0, env_or("AFL_ASYNC_REUPLOADS", static_cast<int>(cfg.max_reuploads))));
+  cfg.max_reuploads = env_count("AFL_ASYNC_REUPLOADS", cfg.max_reuploads);
   cfg.reupload_backoff_s =
       env_or("AFL_ASYNC_REUPLOAD_BACKOFF_MS", cfg.reupload_backoff_s * 1000.0) /
       1000.0;

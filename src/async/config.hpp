@@ -1,9 +1,9 @@
 #pragma once
-// Configuration of the event-driven async aggregation engine (src/async/,
-// docs/ASYNC.md). Standalone header (no library dependencies) so
-// FlRunConfig can embed it without the engine linking against afl_async.
+// Configuration of RoundEngine's buffered async mode (docs/ASYNC.md).
+// Standalone header (no library dependencies); from_env() lives in
+// src/async/config.cpp.
 //
-// The async engine replaces the synchronous round barrier with a FedBuff-style
+// Async mode replaces the synchronous round barrier with a FedBuff-style
 // buffered scheme: up to `concurrency` clients train concurrently in simulated
 // time, the server buffers the first `buffer_size` arrivals, folds them into
 // the global model with staleness-discounted weights, and commits a new global
@@ -15,7 +15,7 @@
 namespace afl::async {
 
 struct AsyncConfig {
-  /// Master switch. Disabled (default) keeps the synchronous RoundEngine.
+  /// Master switch. Disabled (default) keeps synchronous rounds.
   bool enabled = false;
   /// Buffer size K: arrivals per aggregation flush. 0 resolves to the run's
   /// clients_per_round (matching the synchronous cohort size).
@@ -33,7 +33,7 @@ struct AsyncConfig {
   /// never responded (or could not fit any submodel).
   double failure_timeout_s = 0.5;
   /// Extra upload attempts after the transport gives a frame up for lost.
-  /// Unlike the synchronous engine, async clients keep their trained update
+  /// Unlike synchronous rounds, async clients keep their trained update
   /// and re-send it — re-charging transfer time only, never local compute.
   std::size_t max_reuploads = 1;
   /// Simulated backoff between those re-upload attempts.
@@ -43,6 +43,9 @@ struct AsyncConfig {
   /// AFL_ASYNC (master, unset/"0" = disabled), AFL_ASYNC_BUFFER,
   /// AFL_ASYNC_CONCURRENCY, AFL_ASYNC_ALPHA, AFL_ASYNC_MAX_STALENESS,
   /// AFL_ASYNC_TIMEOUT_MS, AFL_ASYNC_REUPLOADS, AFL_ASYNC_REUPLOAD_BACKOFF_MS.
+  /// Throws std::invalid_argument naming the variable on a malformed value,
+  /// a negative count, or a non-finite number; RoundEngine rejects negative
+  /// alpha / timeout / backoff whatever their source.
   static AsyncConfig from_env();
 };
 

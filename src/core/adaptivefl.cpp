@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "async/engine.hpp"
 #include "engine/round_engine.hpp"
 #include "fl/aggregate.hpp"
 #include "fl/evaluate.hpp"
@@ -20,13 +19,12 @@ namespace {
 
 /// Algorithm 1 as a RoundPolicy: uniform (or greedy) model draw from the
 /// pool, RL client selection, device-side adaptive pruning, heterogeneous
-/// aggregation, L1/M1/S1 evaluation. Also implements the AsyncRoundPolicy
-/// seam: the same selector / pruning / RL / aggregation code runs under the
-/// async engine, where `taken_` becomes the in-flight set and commits carry
-/// a staleness weight. The HierRoundPolicy seam on top exposes the global
-/// parameter set to RoundEngine's hierarchical topology, which owns
-/// aggregation itself.
-class AdaptiveFlPolicy final : public HierRoundPolicy {
+/// aggregation, L1/M1/S1 evaluation. The same selector / pruning / RL /
+/// aggregation code runs in every engine mode: under async `taken_` becomes
+/// the in-flight set and commits carry a staleness weight, and the hier_*
+/// hooks expose the global parameter set to the hierarchical topology,
+/// which owns aggregation itself.
+class AdaptiveFlPolicy final : public RoundPolicy {
  public:
   AdaptiveFlPolicy(const ArchSpec& spec, const ModelPool& pool,
                    const FederatedDataset& data, const FlRunConfig& config,
@@ -39,7 +37,8 @@ class AdaptiveFlPolicy final : public HierRoundPolicy {
         options_(options),
         selector_(selector),
         global_(global),
-        has_initial_(has_initial) {}
+        has_initial_(has_initial),
+        taken_(data.num_clients(), false) {}
 
   std::string algorithm_name() const override {
     return options_.greedy_dispatch
@@ -54,13 +53,6 @@ class AdaptiveFlPolicy final : public HierRoundPolicy {
   }
 
   void begin_round(std::size_t, Rng&) override {
-    taken_.assign(data_.num_clients(), false);
-    updates_.clear();
-  }
-
-  void begin_async(std::size_t) override {
-    // Run-scoped reset: under the async engine `taken_` tracks in-flight
-    // clients across flushes instead of a per-round cohort.
     taken_.assign(data_.num_clients(), false);
     updates_.clear();
   }
@@ -144,14 +136,9 @@ class AdaptiveFlPolicy final : public HierRoundPolicy {
   }
 
   void commit(const ClientSlot&, TrainOutcome outcome) override {
-    // Step 5 (Model Uploading).
-    updates_.push_back({std::move(outcome.params), outcome.samples});
-  }
-
-  void commit_weighted(const ClientSlot&, TrainOutcome outcome,
-                       double weight_scale) override {
-    // Async path: the staleness discount scales the data-size weight.
-    updates_.push_back({std::move(outcome.params), outcome.samples, weight_scale});
+    // Step 5 (Model Uploading). Under async the staleness discount in
+    // outcome.weight scales the data-size weight.
+    updates_.push_back({std::move(outcome.params), outcome.samples, outcome.weight});
   }
 
   const ParamSet& hier_global() const override { return global_; }
@@ -166,8 +153,8 @@ class AdaptiveFlPolicy final : public HierRoundPolicy {
 
   void aggregate(std::size_t) override {
     // Step 6 (Model Aggregation, Algorithm 2). Cleared here (not only in
-    // begin_round) because the async engine aggregates per buffer flush
-    // without round boundaries.
+    // begin_round) because async mode aggregates per buffer flush without
+    // round boundaries.
     global_ = hetero_aggregate(global_, updates_);
     updates_.clear();
   }
@@ -192,8 +179,8 @@ class AdaptiveFlPolicy final : public HierRoundPolicy {
     // Engine snapshot (docs/POPULATION.md): the global model plus the RL
     // tables' sparse state. The dump is sorted by (row, client), so two
     // snapshots of identical logical state are byte-identical. The busy /
-    // taken set is NOT saved: the sync engine resets it per round, and the
-    // async engine re-marks it from the restored in-flight set.
+    // taken set is NOT saved: sync rounds reset it, and async mode re-marks
+    // it from the restored in-flight set.
     w.params(global_);
     const RlTables::Dump dump = selector_.tables().dump();
     w.u64(dump.cells.size());
@@ -303,15 +290,7 @@ RunResult AdaptiveFl::run() {
       config_.async ? *config_.async : async::AsyncConfig::from_env();
   const hier::HierConfig hier_cfg =
       config_.hier ? *config_.hier : hier::HierConfig::from_env();
-  if (async_cfg.enabled && hier_cfg.enabled) {
-    throw std::invalid_argument(
-        "AdaptiveFl: async and hierarchical execution are mutually exclusive");
-  }
-  if (async_cfg.enabled) {
-    async::AsyncEngine engine(config_, async_cfg, &devices_, population.get());
-    return engine.run(policy);
-  }
-  RoundEngine engine(config_, &devices_, population.get(), hier_cfg);
+  RoundEngine engine(config_, &devices_, population.get(), hier_cfg, async_cfg);
   return engine.run(policy);
 }
 

@@ -234,8 +234,8 @@ RunResult run_algorithm_impl(Algorithm algorithm, const ExperimentEnv& env) {
           .run();
     }
     case Algorithm::kAdaptiveFlAsync: {
-      // Full method on the buffered async engine: env overrides still apply
-      // (AFL_ASYNC_* resolved here), but the master switch is forced on.
+      // Full method in the engine's buffered async mode: env overrides still
+      // apply (AFL_ASYNC_* resolved here), but the master switch is forced on.
       FlRunConfig run = env.run;
       async::AsyncConfig acfg =
           run.async ? *run.async : async::AsyncConfig::from_env();

@@ -27,7 +27,7 @@ enum class Algorithm {
   kAdaptiveFlS,        // resource-only selection
   kAdaptiveFlRandom,   // random selection
   kAdaptiveFlGreed,    // always dispatch L1
-  kAdaptiveFlAsync,    // full method under the buffered async engine
+  kAdaptiveFlAsync,    // full method in the engine's buffered async mode
 };
 const char* algorithm_name(Algorithm a);
 

@@ -4,13 +4,12 @@
 // Every dispatch of a time-modeling run gets a stable dispatch_id whose
 // virtual-clock phases — select → downlink → compute → uplink(+retries/
 // backoff) → buffer_wait → commit, or a terminal drop — are emitted as
-// structured `lifecycle` records in the AFL_TRACE_JSONL stream. Both
-// engines (the synchronous RoundEngine, flat or hierarchical, and the
-// src/async/ event engine) feed one LifecycleTracker per run:
-//
-//   - RoundEngine assigns sequential ids during the sequential planning
-//     pass, so ids are invariant to AFL_THREADS and the shard count;
-//   - the async engine reuses its dispatch counter (slot.round) as the id.
+// structured `lifecycle` records in the AFL_TRACE_JSONL stream. Every
+// RoundEngine mode (flat, hierarchical, async) feeds one LifecycleTracker
+// per run, which numbers the dispatches: ids are assigned sequentially on
+// the engine thread as dispatches open, so they are invariant to
+// AFL_THREADS and the shard count (in async mode the id doubles as the
+// slot's round key).
 //
 // Phase intervals live on the run's virtual clock (run-global simulated
 // seconds), so `afl-insight critical-path` can reconstruct the causal DAG
@@ -22,7 +21,7 @@
 // shard counts.
 //
 // A tracker is only active when the run models time (transport enabled or
-// async engine): transportless sync traces stay byte-identical to v1
+// async mode): transportless sync traces stay byte-identical to v1
 // builds. When active it also feeds afl.lifecycle.<phase>.seconds
 // histograms and an online critical-path blame summary published to the
 // /status endpoint.
@@ -67,8 +66,7 @@ class LifecycleTracker {
 
   bool active() const { return active_; }
 
-  /// Next sequential dispatch id (1-based). Sync/hier call this during the
-  /// sequential planning pass; the async engine brings its own counter.
+  /// Next sequential dispatch id (1-based), taken as each dispatch opens.
   std::size_t next_id() { return ++last_id_; }
 
   /// Snapshot/resume (docs/POPULATION.md): the id counter survives a resume

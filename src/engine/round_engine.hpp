@@ -1,5 +1,5 @@
 #pragma once
-// The synchronous federated round engine (see docs/ENGINE.md).
+// The federated round engine (see docs/ENGINE.md).
 //
 // Every runner used to hand-roll the same loop: select clients, dispatch
 // models, check availability, adapt to the device's capacity, train locally,
@@ -14,20 +14,35 @@
 //                  -> [sequential, shard-major] commit
 //                  -> aggregate -> end_round -> evaluate (when due)
 //
-// Topology: the loop runs over S edge aggregators, client c owned by edge
-// c % S, each with its own simulated clock. A flat run is the one-edge case:
-// commit()/aggregate() are the policy's own. A hierarchical run
-// (hier::HierConfig, docs/HIERARCHY.md) folds each edge's updates into a
-// mergeable ShardPartial and merges them at the root every sync_every
-// rounds; with sync_every == 1 it is bit-identical to the flat run for any S.
+// Every dispatch runs through one per-dispatch pipeline (open: select ->
+// capacity -> adapt -> presence -> availability -> downlink; upload; then
+// either the ok settle or one terminal of the failure table). The engine has
+// two modes that differ only in when that pipeline runs and when updates are
+// folded in:
+//
+//   - synchronous rounds (default). The loop runs over S edge aggregators,
+//     client c owned by edge c % S, each with its own simulated clock. A flat
+//     run is the one-edge case: commit()/aggregate() are the policy's own. A
+//     hierarchical run (hier::HierConfig, docs/HIERARCHY.md) folds each
+//     edge's updates into a mergeable ShardPartial and merges them at the
+//     root every sync_every rounds; with sync_every == 1 it is bit-identical
+//     to the flat run for any S.
+//   - buffered async (async::AsyncConfig, docs/ASYNC.md). A discrete-event
+//     loop on a virtual clock keeps `concurrency` dispatches in flight and
+//     aggregates every `buffer_size` arrivals, FedBuff-style; each update's
+//     staleness discount rides in TrainOutcome::weight. `config.rounds`
+//     counts buffer flushes, begin_round() is never called, and
+//     set_client_busy() tracks the in-flight set instead.
 //
 // Determinism contract: all policy hooks except execute() run on the engine
-// thread, strictly sequentially, in slot order. execute() runs on a worker
-// thread with a private Rng derived from (seed, round, client) — never from
-// the round RNG — so the RunResult is bit-identical for any AFL_THREADS.
-// execute() must therefore be const and touch no mutable shared state
-// (global parameters are frozen between aggregate() calls, so reading them
-// is safe).
+// thread, strictly sequentially, in slot (sync) or event (async) order.
+// execute() runs on a worker thread with a private Rng derived from (seed,
+// round, client) — never from the round RNG — so the RunResult is
+// bit-identical for any AFL_THREADS. execute() must therefore be const and
+// touch no mutable shared state (global parameters are frozen between
+// aggregate() calls, so reading them is safe). The async event queue pops in
+// the total order (time, dispatch, client, seq), and training runs in lazy
+// "waves" that change scheduling but not results.
 //
 // Communication accounting rule (uniform across algorithms): every slot that
 // selects a client records its dispatch *before* the availability check; a
@@ -51,6 +66,7 @@
 #include <string>
 #include <vector>
 
+#include "async/config.hpp"
 #include "engine/run.hpp"
 #include "fl/local_train.hpp"
 #include "hier/config.hpp"
@@ -96,6 +112,10 @@ struct TrainOutcome {
   ParamSet params;           // trained parameters, as exported by the model
   std::size_t samples = 0;   // client dataset size (aggregation weight)
   LocalTrainResult stats;
+  /// Multiplier on the aggregation weight, set by the engine before
+  /// commit(): 1 in synchronous rounds, the staleness discount
+  /// 1 / (1 + staleness)^alpha in async mode.
+  double weight = 1.0;
 };
 
 /// Per-algorithm policy hooks. Every hook except execute() runs sequentially
@@ -156,11 +176,9 @@ class RoundPolicy {
   /// training, so policies must opt in explicitly.
   virtual ParamSet upload_reference(const ClientSlot& slot) const {
     (void)slot;
-    throw std::runtime_error(
-        algorithm_name() +
-        " does not implement upload_reference(); sparse uplink codecs "
-        "(AFL_NET_CODEC=topk*) need the policy to expose the imported "
-        "parameter set");
+    missing_hook(
+        "upload_reference(); sparse uplink codecs (AFL_NET_CODEC=topk*) need "
+        "the policy to expose the imported parameter set");
   }
 
   /// One client's local work: build -> import -> train -> export. Runs on a
@@ -196,82 +214,77 @@ class RoundPolicy {
   /// when a snapshot/resume plan is active.
   virtual void snapshot_state(SnapshotWriter& w) const {
     (void)w;
-    throw std::runtime_error(algorithm_name() +
-                             " does not implement snapshot_state()");
+    missing_hook("snapshot_state()");
   }
   virtual void restore_state(SnapshotReader& r) {
     (void)r;
-    throw std::runtime_error(algorithm_name() +
-                             " does not implement restore_state()");
+    missing_hook("restore_state()");
+  }
+
+  /// Async mode: marks a client in flight (selected, awaiting its update or
+  /// failure) or free again; select() must never pick a busy client. Sync
+  /// rounds never call it (their busy set is the round's cohort).
+  virtual void set_client_busy(std::size_t client, bool busy) {
+    (void)client;
+    (void)busy;
+  }
+
+  /// Hierarchical mode (docs/HIERARCHY.md): planning runs through the same
+  /// hooks, but the engine owns aggregation — edge ShardAggregators fold the
+  /// updates and the root merge commits the new global, so commit() and
+  /// aggregate() are never called. These expose the policy's global
+  /// parameter set (frozen between syncs), replace it (the root merge's
+  /// commit), and split a slot's downlink payload from an explicit,
+  /// possibly edge-local model (sync_every > 1). The defaults throw, like
+  /// upload_reference().
+  virtual const ParamSet& hier_global() const {
+    missing_hook("hier_global(); hierarchical runs (AFL_HIER=1) need it");
+  }
+  virtual void hier_set_global(ParamSet global) {
+    (void)global;
+    missing_hook("hier_set_global(); hierarchical runs (AFL_HIER=1) need it");
+  }
+  virtual ParamSet hier_dispatch_params(const ClientSlot& slot,
+                                        const ParamSet& model) const {
+    (void)slot;
+    (void)model;
+    missing_hook(
+        "hier_dispatch_params(); hierarchical runs with sync_every > 1 need it");
+  }
+
+ protected:
+  [[noreturn]] void missing_hook(const std::string& what) const {
+    throw std::runtime_error(algorithm_name() + " does not implement " + what);
   }
 };
 
-/// Extension of RoundPolicy consumed by the async engine (src/async/,
-/// docs/ASYNC.md). The synchronous hooks keep their exact semantics — the
-/// algorithm's selector, RL feedback, pruning, and aggregation code runs
-/// unchanged — but the async engine's continuous dispatch needs three extra
-/// seams: a run-scoped (rather than round-scoped) busy set, because clients
-/// stay in flight across aggregation flushes; weighted commits, because
-/// staleness discounts the update's aggregation weight; and a begin hook
-/// replacing the per-round cohort reset. begin_round()/select() are still
-/// called per dispatch so per-round policy state (e.g. RL reward windows)
-/// keeps working; the engine maps one "round" to one dispatch.
-class AsyncRoundPolicy : public RoundPolicy {
- public:
-  /// Called once before the first dispatch, instead of per-round cohort
-  /// resets driving the busy set.
-  virtual void begin_async(std::size_t num_clients) = 0;
-
-  /// Marks a client in flight (selected, awaiting its update or failure) or
-  /// free again. select() must never pick a busy client.
-  virtual void set_client_busy(std::size_t client, bool busy) = 0;
-
-  /// Stores a trained update whose aggregation weight is scaled by
-  /// `weight_scale` = 1 / (1 + staleness)^alpha. commit() remains the
-  /// synchronous path (weight_scale == 1).
-  virtual void commit_weighted(const ClientSlot& slot, TrainOutcome outcome,
-                               double weight_scale) = 0;
-};
-
-/// Extension consumed by RoundEngine's hierarchical topology (docs/HIERARCHY.md).
-/// Planning runs through the same sequential hooks, but the engine owns
-/// aggregation: edge ShardAggregators fold the updates and the root merge
-/// commits the new global, so commit()/aggregate() are never called. That
-/// requires direct access to the policy's global parameter set plus a
-/// payload split against an explicit (possibly edge-local) model.
-class HierRoundPolicy : public AsyncRoundPolicy {
- public:
-  /// The policy's current global parameter set (frozen between syncs).
-  virtual const ParamSet& hier_global() const = 0;
-
-  /// Replaces the global parameter set (the root merge's commit).
-  virtual void hier_set_global(ParamSet global) = 0;
-
-  /// The downlink payload for `slot` split from an explicit model — the
-  /// hierarchical analogue of dispatch_params(), used when edge models
-  /// diverge from the root global between syncs (sync_every > 1).
-  virtual ParamSet hier_dispatch_params(const ClientSlot& slot,
-                                        const ParamSet& model) const = 0;
-};
-
-/// Drives a RoundPolicy through config.rounds rounds. `devices` may be null
-/// for idealized baselines (always responsive, unlimited capacity); otherwise
-/// it must hold one profile per client and outlive the engine.
+/// Drives a RoundPolicy through config.rounds rounds (or buffer flushes in
+/// async mode). `devices` may be null for idealized baselines (always
+/// responsive, unlimited capacity); otherwise it must hold one profile per
+/// client and outlive the engine.
 class RoundEngine {
  public:
   /// `population` (optional, not owned) supplies churn telemetry and
   /// per-client channel profiles (docs/POPULATION.md); the churn schedules
   /// themselves reach the engine through the devices' presence pointers.
-  /// `hier` is the caller's resolved hierarchy: disabled (the default) runs
-  /// flat on one edge whatever config.hier says; enabled requires run() to
-  /// be given a HierRoundPolicy.
+  /// `hier` and `async` are the caller's resolved modes: disabled (the
+  /// defaults) run flat synchronous rounds on one edge whatever
+  /// config.hier / config.async say. Enabled hier requires the policy's
+  /// hier_* hooks; enabled async requires set_client_busy(). The two are
+  /// mutually exclusive, and the async knobs are validated here (finite,
+  /// non-negative alpha / timeout / backoff; std::invalid_argument
+  /// otherwise). Zero-valued async counts resolve against the run config:
+  /// buffer_size -> clients_per_round, concurrency -> 2 * buffer_size,
+  /// capped at the fleet size.
   RoundEngine(const FlRunConfig& config, const std::vector<DeviceSim>* devices,
               const pop::Population* population = nullptr,
-              const hier::HierConfig& hier = {});
+              const hier::HierConfig& hier = {},
+              const async::AsyncConfig& async = {});
 
   /// Snapshot/resume (docs/POPULATION.md): snapshots are cut only at
-  /// root-sync rounds (every round when flat), where no edge holds un-merged
-  /// updates, so the file carries the edge clocks plus the policy state.
+  /// root-sync rounds (every round when flat) or buffer flushes, where no
+  /// edge holds un-merged updates, so the file carries the edge clocks plus
+  /// the policy state (and, in async mode, the in-flight dispatches).
   RunResult run(RoundPolicy& policy);
 
   /// Worker threads the engine resolved (config.threads or AFL_THREADS).
@@ -282,8 +295,11 @@ class RoundEngine {
   const net::Transport& transport() const { return transport_; }
 
  private:
+  class Run;  // one run's state and pipeline (round_engine.cpp)
+
   FlRunConfig config_;
   hier::HierConfig hier_;
+  async::AsyncConfig async_;
   const std::vector<DeviceSim>* devices_;
   const pop::Population* population_;
   std::size_t threads_;

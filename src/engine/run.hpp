@@ -39,7 +39,7 @@ struct FlRunConfig {
   std::optional<net::NetConfig> net;
   /// Event-driven async aggregation (see docs/ASYNC.md). nullopt = resolve
   /// from the AFL_ASYNC_* environment variables; when enabled the run uses
-  /// the buffered AsyncEngine instead of the synchronous round barrier and
+  /// RoundEngine's buffered async mode instead of the round barrier and
   /// `rounds` counts buffer flushes.
   std::optional<async::AsyncConfig> async;
   /// Hierarchical multi-aggregator scale-out (see docs/HIERARCHY.md).
@@ -94,7 +94,7 @@ struct RoundMetrics {
   std::size_t retransmits = 0;     // retransmitted frames, both directions
   std::size_t stragglers = 0;      // clients excluded by the round deadline
   // Simulated-time telemetry; zero unless the transport models per-client
-  // time (sync) or the run uses the async engine's virtual clock.
+  // time (sync) or the run uses async mode's virtual clock.
   double sim_seconds = 0.0;   // simulated duration of this round / flush window
   double virtual_time = 0.0;  // simulated clock at the end of the round
 };
@@ -119,7 +119,7 @@ struct RunResult {
   std::size_t failed_trainings = 0;
   double wall_seconds = 0.0;
   /// Total simulated seconds of the run (0 when nothing models time: no
-  /// transport clock and not the async engine).
+  /// transport clock and not async mode).
   double sim_seconds = 0.0;
   /// First crossings of the fixed accuracy thresholds (kTtaThresholds), in
   /// ascending threshold order; empty when the run tracked no simulated time.

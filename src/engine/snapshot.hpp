@@ -1,7 +1,6 @@
 #pragma once
-// Engine snapshot/resume plumbing shared by the synchronous RoundEngine
-// (flat or hierarchical) and the async engine (src/async/) —
-// docs/POPULATION.md.
+// Engine snapshot/resume plumbing of RoundEngine (flat, hierarchical or
+// async) — docs/POPULATION.md.
 //
 // A snapshot is an AFLSNAP1 file (nn/checkpoint.hpp SnapshotWriter/Reader:
 // CRC-32-verified typed primitives) capturing everything a run needs to
@@ -27,12 +26,13 @@
 
 namespace afl::engine {
 
-/// Per-engine snapshot format ids (the first field of every snapshot file).
-/// An engine refuses to resume a snapshot written by another engine or an
-/// older layout revision. The sync format carries one clock per edge (flat
-/// runs have one), so flat and hierarchical runs share it.
+/// Snapshot format ids (the first field of every snapshot file). A run
+/// refuses to resume a snapshot written in another mode or an older layout
+/// revision. The sync format carries one clock per edge (flat runs have
+/// one), so flat and hierarchical runs share it; the async format is the
+/// same body plus the in-flight dispatches and their queued events.
 inline constexpr const char* kSyncSnapshotFormat = "afl.snap.sync.v2";
-inline constexpr const char* kAsyncSnapshotFormat = "afl.snap.async.v1";
+inline constexpr const char* kAsyncSnapshotFormat = "afl.snap.async.v2";
 
 /// Resolved snapshot/resume plan of one run. FlRunConfig fields take
 /// precedence; unset fields fall back to the AFL_SNAPSHOT /
@@ -72,8 +72,10 @@ void write_header(SnapshotWriter& w, const std::string& format,
 std::size_t read_header(SnapshotReader& r, const std::string& format,
                         const FlRunConfig& config, const std::string& algorithm);
 
-void write_rng(SnapshotWriter& w, const Rng& rng);
-void read_rng(SnapshotReader& r, Rng& rng);
+/// An Rng position: the engine's round RNG, or an in-flight async
+/// dispatch's transport-session stream.
+void write_rng(SnapshotWriter& w, const Rng::State& st);
+Rng::State read_rng(SnapshotReader& r);
 
 void write_comm(SnapshotWriter& w, const CommStats& comm);
 void read_comm(SnapshotReader& r, CommStats& comm);

@@ -1,16 +1,15 @@
 #pragma once
-// Run-level trace / status helpers shared by the synchronous RoundEngine and
-// the async engine (src/async/engine.*). Formerly file-local to
-// round_engine.cpp; both execution models must emit identical run_start /
-// run_end / dispatch records so afl-insight can diff their traces.
+// Run-level trace / status helpers of RoundEngine. Every mode (flat,
+// hierarchical, async) emits the same run_start / run_end / dispatch records
+// so afl-insight can diff their traces.
 
 #include <cstddef>
 
 #include "engine/lifecycle.hpp"
-#include "engine/round_engine.hpp"
 #include "engine/run.hpp"
 #include "fl/comm.hpp"
 #include "net/transport.hpp"
+#include "pop/population.hpp"
 
 namespace afl::engine {
 
@@ -23,7 +22,7 @@ namespace afl::engine {
 inline constexpr const char* kTraceSchema = "afl.trace.v3";
 
 /// Emits the run_start header. `mode` tags non-default execution models
-/// (the async engine passes "async", hierarchical RoundEngine runs "hier"); null
+/// (async runs pass "async", hierarchical runs "hier"); null
 /// omits the field so synchronous traces stay byte-identical. `shards` > 0
 /// adds the hierarchical topology columns (shards, sync_every).
 /// `population`, when non-null, adds the population columns (fleet size,
@@ -51,14 +50,6 @@ void publish_run_status(const RunResult& result, std::size_t round,
                         std::size_t total_rounds, double elapsed_seconds,
                         std::size_t threads, bool active,
                         const LifecycleBlame* blame = nullptr);
-
-/// Emits a failed dispatch trace event. `virtual_time` >= 0 adds the async
-/// engine's simulated-clock column; negative omits it (synchronous path).
-/// `shard` >= 0 tags the record with its aggregation shard (hierarchical
-/// engine); negative omits the column so flat-engine traces are unchanged —
-/// afl-insight treats runs mixing tagged and untagged dispatches as bad data.
-void trace_dispatch_failure(const ClientSlot& slot, const char* outcome,
-                            double virtual_time = -1.0, int shard = -1);
 
 /// Byte/retransmit accounting + afl.net.* metrics for one frame transfer.
 /// Only ever called with the transport enabled, so the metric instruments are

@@ -17,7 +17,7 @@ struct ClientUpdate {
   ParamSet params;
   std::size_t data_size = 0;  // |d_c|
   /// Multiplier on the data-size weight. 1 (exact identity in the weighted
-  /// mean) for synchronous aggregation; the async engine passes the
+  /// mean) for synchronous aggregation; async mode passes the
   /// staleness discount 1 / (1 + tau)^alpha (docs/ASYNC.md).
   double weight = 1.0;
 };

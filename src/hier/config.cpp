@@ -1,7 +1,5 @@
 #include "hier/config.hpp"
 
-#include <algorithm>
-
 #include "util/env.hpp"
 
 namespace afl::hier {
@@ -9,13 +7,9 @@ namespace afl::hier {
 HierConfig HierConfig::from_env() {
   HierConfig cfg;
   cfg.enabled = env_or("AFL_HIER", 0) != 0;
-  cfg.shards = static_cast<std::size_t>(
-      std::max(0, env_or("AFL_HIER_SHARDS", static_cast<int>(cfg.shards))));
-  cfg.sync_every = static_cast<std::size_t>(std::max(
-      0, env_or("AFL_HIER_SYNC_EVERY", static_cast<int>(cfg.sync_every))));
-  if (cfg.shards == 0) cfg.shards = 1;
-  if (cfg.sync_every == 0) cfg.sync_every = 1;
-  return cfg;
+  cfg.shards = env_count("AFL_HIER_SHARDS", cfg.shards);
+  cfg.sync_every = env_count("AFL_HIER_SYNC_EVERY", cfg.sync_every);
+  return cfg;  // zero counts resolve to 1 in RoundEngine
 }
 
 }  // namespace afl::hier

@@ -28,7 +28,8 @@ struct HierConfig {
 
   /// Resolves the AFL_HIER_* environment variables (docs/HIERARCHY.md):
   /// AFL_HIER (master, unset/"0" = disabled), AFL_HIER_SHARDS,
-  /// AFL_HIER_SYNC_EVERY.
+  /// AFL_HIER_SYNC_EVERY. A negative count throws std::invalid_argument
+  /// naming the variable.
   static HierConfig from_env();
 };
 

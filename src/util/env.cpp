@@ -1,6 +1,7 @@
 #include "util/env.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <system_error>
@@ -39,7 +40,20 @@ int env_or(const std::string& name, int fallback) {
 
 double env_or(const std::string& name, double fallback) {
   const std::string v = env_or(name, std::string());
-  return v.empty() ? fallback : parse_env<double>(name, v);
+  if (v.empty()) return fallback;
+  const double out = parse_env<double>(name, v);
+  if (!std::isfinite(out)) {
+    throw std::invalid_argument(name + "=" + v + ": not a finite number");
+  }
+  return out;
+}
+
+std::size_t env_count(const std::string& name, std::size_t fallback) {
+  const std::string v = env_or(name, std::string());
+  if (v.empty()) return fallback;
+  const long long out = parse_env<long long>(name, v);
+  if (out < 0) throw std::invalid_argument(name + "=" + v + ": must be >= 0");
+  return static_cast<std::size_t>(out);
 }
 
 BenchScale bench_scale() {

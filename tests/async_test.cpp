@@ -8,11 +8,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "async/aggregator.hpp"
 #include "async/config.hpp"
 #include "async/virtual_clock.hpp"
+#include "core/experiment.hpp"
+#include "engine/round_engine.hpp"
 #include "fl/aggregate.hpp"
 #include "net/transport.hpp"
 #include "util/rng.hpp"
@@ -208,6 +214,111 @@ TEST(AsyncConfigTest, DefaultsAreDisabledAndSane) {
   EXPECT_DOUBLE_EQ(cfg.staleness_alpha, 0.5);
   EXPECT_EQ(cfg.max_staleness, 0u);     // no cutoff
   EXPECT_GT(cfg.failure_timeout_s, 0.0);
+}
+
+/// The std::invalid_argument message AsyncConfig::from_env() throws with
+/// `name` set to `value`, or "" when it accepts the value.
+std::string async_env_error(const char* name, const char* value) {
+  ::setenv(name, value, 1);
+  std::string what;
+  try {
+    async::AsyncConfig::from_env();
+  } catch (const std::invalid_argument& e) {
+    what = e.what();
+  }
+  ::unsetenv(name);
+  return what;
+}
+
+TEST(AsyncConfigTest, FromEnvRejectsNegativeCounts) {
+  // Clamping to 0 would silently mean "derive a default" instead.
+  for (const char* name : {"AFL_ASYNC_BUFFER", "AFL_ASYNC_CONCURRENCY",
+                           "AFL_ASYNC_MAX_STALENESS", "AFL_ASYNC_REUPLOADS"}) {
+    SCOPED_TRACE(name);
+    const std::string what = async_env_error(name, "-2");
+    EXPECT_NE(what.find(name), std::string::npos) << what;
+  }
+}
+
+TEST(AsyncConfigTest, FromEnvRejectsNonFiniteNumbers) {
+  for (const char* name : {"AFL_ASYNC_ALPHA", "AFL_ASYNC_TIMEOUT_MS",
+                           "AFL_ASYNC_REUPLOAD_BACKOFF_MS"}) {
+    for (const char* value : {"nan", "inf"}) {
+      SCOPED_TRACE(std::string(name) + "=" + value);
+      const std::string what = async_env_error(name, value);
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+    }
+  }
+}
+
+TEST(AsyncModeTest, RejectsNegativeOrNonFiniteKnobs) {
+  FlRunConfig run;
+  run.threads = 1;
+  run.net = net::NetConfig{};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* what;
+    double async::AsyncConfig::*field;
+    double value;
+  };
+  const Case cases[] = {
+      {"staleness_alpha", &async::AsyncConfig::staleness_alpha, -0.5},
+      {"staleness_alpha", &async::AsyncConfig::staleness_alpha, nan},
+      {"failure_timeout_s", &async::AsyncConfig::failure_timeout_s, -0.1},
+      {"failure_timeout_s", &async::AsyncConfig::failure_timeout_s, inf},
+      {"reupload_backoff_s", &async::AsyncConfig::reupload_backoff_s, -1.0},
+      {"reupload_backoff_s", &async::AsyncConfig::reupload_backoff_s, nan},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.what) + "=" + std::to_string(c.value));
+    async::AsyncConfig acfg;
+    acfg.enabled = true;
+    acfg.*c.field = c.value;
+    try {
+      RoundEngine engine(run, nullptr, nullptr, {}, acfg);
+      ADD_FAILURE() << "RoundEngine accepted the config";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(c.what), std::string::npos) << e.what();
+    }
+  }
+  // The same gate holds for a value that reached the config from the
+  // environment (AFL_ASYNC_TIMEOUT_MS=-100 parses as -0.1 s).
+  ::setenv("AFL_ASYNC_TIMEOUT_MS", "-100", 1);
+  async::AsyncConfig from_env = async::AsyncConfig::from_env();
+  ::unsetenv("AFL_ASYNC_TIMEOUT_MS");
+  from_env.enabled = true;
+  EXPECT_THROW((RoundEngine(run, nullptr, nullptr, {}, from_env)), std::invalid_argument);
+  // A disabled config is never consulted.
+  async::AsyncConfig off;
+  off.staleness_alpha = nan;
+  EXPECT_NO_THROW((RoundEngine(run, nullptr, nullptr, {}, off)));
+}
+
+TEST(AsyncModeTest, EventBeforeTheClockThrows) {
+  // A negative compute charge schedules each upload before the instant it
+  // was dispatched at; the event loop must refuse to run time backwards
+  // instead of processing the event in the past.
+  ExperimentConfig cfg;
+  cfg.num_clients = 6;
+  cfg.clients_per_round = 3;
+  cfg.samples_per_client = 6;
+  cfg.test_samples = 12;
+  cfg.image_hw = 8;
+  cfg.rounds = 2;
+  cfg.local_epochs = 1;
+  cfg.batch_size = 6;
+  ExperimentEnv env = make_env(cfg);
+  net::NetConfig net;
+  net.enabled = true;
+  net.compute_s_per_kparam = -1.0;
+  env.run.net = net;
+  env.run.threads = 1;
+  async::AsyncConfig acfg;
+  acfg.enabled = true;
+  acfg.buffer_size = 2;
+  env.run.async = acfg;
+  EXPECT_THROW(run_algorithm(Algorithm::kAdaptiveFlAsync, env), std::logic_error);
 }
 
 }  // namespace

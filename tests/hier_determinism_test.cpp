@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -193,6 +195,21 @@ TEST(HierDeterminism, LifecycleTraceIdenticalAcrossThreadCounts) {
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i], b[i]) << "shards " << shards << " record " << i;
     }
+  }
+}
+
+TEST(HierDeterminism, NegativeEnvCountsAreRejected) {
+  // Clamping to 0 (which resolves to 1) would hide a mistyped knob.
+  for (const char* name : {"AFL_HIER_SHARDS", "AFL_HIER_SYNC_EVERY"}) {
+    SCOPED_TRACE(name);
+    ::setenv(name, "-3", 1);
+    try {
+      hier::HierConfig::from_env();
+      ADD_FAILURE() << name << "=-3 was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
+    ::unsetenv(name);
   }
 }
 

@@ -199,6 +199,39 @@ TEST(SnapshotResume, AsyncEngineWithCompressionBitIdentical) {
   check_resume(env, "async_topk", 3);
 }
 
+TEST(SnapshotResume, AsyncEngineUnderChurnBitIdentical) {
+  // The async-net shape: ring churn with dark stretches, per-client
+  // channels, a lossy link and a topk10 + error-feedback uplink. In-flight
+  // dispatches cross the snapshot with their presence verdicts, re-upload
+  // budgets and frozen upload references.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    ExperimentEnv env = small_env();
+    env.run.threads = threads;
+    env.run.net->uplink_codec = net::Codec::kTopK10;
+    env.run.net->channel.loss_prob = 0.2;
+    env.run.net->max_retries = 1;
+    env.run.net->round_deadline_s = 0.0;
+    pop::PopConfig storm;
+    storm.enabled = true;
+    storm.active_frac = 0.75;
+    storm.rotate_every = 2;
+    storm.rotate_frac = 0.4;
+    storm.dark_prob = 0.2;
+    storm.dark_len = 2;
+    storm.channels = true;
+    storm.bw_spread = 1.0;
+    env.run.pop = storm;
+    async::AsyncConfig acfg;
+    acfg.enabled = true;
+    acfg.buffer_size = 3;
+    acfg.concurrency = 5;
+    acfg.staleness_alpha = 0.3;
+    acfg.max_staleness = 2;
+    env.run.async = acfg;
+    check_resume(env, "async_churn_t" + std::to_string(threads), 3);
+  }
+}
+
 TEST(SnapshotResume, HierEngineWithCompressionBitIdentical) {
   ExperimentEnv env = small_env();
   env.run.net->uplink_codec = net::Codec::kTopK10;
@@ -300,6 +333,38 @@ TEST(SnapshotResume, PreviousSyncFormatIsRejected) {
     const std::string what = e.what();
     EXPECT_NE(what.find("afl.snap.sync.v1"), std::string::npos) << what;
     EXPECT_NE(what.find("afl.snap.sync.v2"), std::string::npos) << what;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotResume, PreviousAsyncFormatIsRejected) {
+  // The earlier async layout (separate flush clock / version fields, no
+  // edge-clock list) must be refused by its format id.
+  ExperimentEnv env = small_env();
+  async::AsyncConfig acfg;
+  acfg.enabled = true;
+  acfg.buffer_size = 3;
+  env.run.async = acfg;
+  env.run.net->round_deadline_s = 0.0;
+  const std::string path = snap_path("async_v1");
+  {
+    SnapshotWriter w(path);
+    w.str("afl.snap.async.v1");
+    w.str("AdaptiveFL+CS+Async");
+    w.u64(env.run.seed);
+    w.u64(env.run.rounds);
+    w.u64(env.run.clients_per_round);
+    w.u64(3);
+    w.finish();
+  }
+  env.run.resume_from = path;
+  try {
+    run_algorithm(Algorithm::kAdaptiveFlAsync, env);
+    ADD_FAILURE() << "resuming a afl.snap.async.v1 file did not throw";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("afl.snap.async.v1"), std::string::npos) << what;
+    EXPECT_NE(what.find("afl.snap.async.v2"), std::string::npos) << what;
   }
   std::remove(path.c_str());
 }

@@ -272,5 +272,36 @@ TEST(Env, RejectsOverflow) {
   EXPECT_NE(what.find("2147483648"), std::string::npos) << what;
 }
 
+TEST(Env, RejectsNonFiniteDoubles) {
+  // std::from_chars reads these; a NaN or infinite knob must not get through.
+  for (const char* bad : {"nan", "NaN", "-nan", "inf", "-inf", "infinity"}) {
+    SCOPED_TRACE(bad);
+    const std::string what = env_error(bad, 0.5);
+    EXPECT_NE(what.find("AFL_TEST_ENV_X"), std::string::npos) << what;
+  }
+  ::unsetenv("AFL_TEST_ENV_X");
+}
+
+TEST(Env, CountsRejectNegativeValues) {
+  ::unsetenv("AFL_TEST_ENV_X");
+  EXPECT_EQ(env_count("AFL_TEST_ENV_X", 4), 4u);
+  ::setenv("AFL_TEST_ENV_X", "0", 1);
+  EXPECT_EQ(env_count("AFL_TEST_ENV_X", 4), 0u);
+  ::setenv("AFL_TEST_ENV_X", "12", 1);
+  EXPECT_EQ(env_count("AFL_TEST_ENV_X", 4), 12u);
+  for (const char* bad : {"-1", "-100", "1.5", "abc"}) {
+    SCOPED_TRACE(bad);
+    ::setenv("AFL_TEST_ENV_X", bad, 1);
+    try {
+      env_count("AFL_TEST_ENV_X", 4);
+      ADD_FAILURE() << "env_count accepted " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("AFL_TEST_ENV_X"), std::string::npos)
+          << e.what();
+    }
+  }
+  ::unsetenv("AFL_TEST_ENV_X");
+}
+
 }  // namespace
 }  // namespace afl
