@@ -7,7 +7,6 @@
 
 #include "engine/round_engine.hpp"
 #include "fl/aggregate.hpp"
-#include "fl/evaluate.hpp"
 #include "nn/init.hpp"
 #include "pop/population.hpp"
 #include "obs/metrics.hpp"
@@ -208,21 +207,12 @@ class AdaptiveFlPolicy final : public RoundPolicy {
   }
 
   void evaluate(std::size_t, RunResult& result) override {
-    const std::size_t heads[3] = {pool_.level_head_index(Level::kLarge),
-                                  pool_.level_head_index(Level::kMedium),
-                                  pool_.level_head_index(Level::kSmall)};
-    double sum = 0.0;
-    double full = 0.0;
-    for (std::size_t h : heads) {
-      const PoolEntry& e = pool_.entry(h);
-      const double acc = eval_params(spec_, e.plan, {}, pool_.split(global_, h),
-                                     data_.test, config_.eval_batch);
-      result.level_acc[e.label()] = acc;
-      sum += acc;
-      if (e.level == Level::kLarge) full = acc;
+    std::vector<EvalHead> heads;
+    for (Level level : {Level::kLarge, Level::kMedium, Level::kSmall}) {
+      const std::size_t h = pool_.level_head_index(level);
+      heads.emplace_back(pool_.entry(h).label(), pool_.build(h), pool_.split(global_, h));
     }
-    result.final_full_acc = full;
-    result.final_avg_acc = sum / 3.0;
+    record_heads(std::move(heads), data_.test, config_.eval_batch, result);
     AFL_LOG_DEBUG << result.algorithm << ": full " << result.final_full_acc
                   << ", avg " << result.final_avg_acc;
   }

@@ -8,7 +8,6 @@
 #include "arch/stats.hpp"
 #include "engine/round_engine.hpp"
 #include "fl/aggregate.hpp"
-#include "fl/evaluate.hpp"
 #include "prune/width_prune.hpp"
 
 namespace afl {
@@ -93,11 +92,10 @@ class AllLargePolicy final : public CohortPolicy {
   void restore_state(SnapshotReader& r) override { global_ = r.params(); }
 
   void evaluate(std::size_t, RunResult& result) override {
-    const double acc =
-        eval_params(spec_, full_plan_, {}, global_, data_.test, config_.eval_batch);
-    result.level_acc["L1"] = acc;
-    result.final_full_acc = acc;
-    result.final_avg_acc = acc;  // All-Large has no submodels; avg == full
+    // All-Large has no submodels, so avg == full.
+    std::vector<EvalHead> heads;
+    heads.emplace_back("L1", build_model(spec_, full_plan_), global_);
+    record_heads(std::move(heads), data_.test, config_.eval_batch, result);
   }
 
  private:
@@ -187,16 +185,12 @@ class DecoupledPolicy final : public CohortPolicy {
   }
 
   void evaluate(std::size_t, RunResult& result) override {
-    double sum = 0.0;
+    std::vector<EvalHead> heads;
     for (int l = 0; l < 3; ++l) {
-      const PoolEntry& e = pool_.entry(heads_[l]);
-      const double acc = eval_params(spec_, e.plan, {}, globals_[l], data_.test,
-                                     config_.eval_batch);
-      result.level_acc[e.label()] = acc;
-      sum += acc;
-      if (l == 0) result.final_full_acc = acc;
+      heads.emplace_back(pool_.entry(heads_[l]).label(), pool_.build(heads_[l]),
+                         globals_[l]);
     }
-    result.final_avg_acc = sum / 3.0;
+    record_heads(std::move(heads), data_.test, config_.eval_batch, result);
   }
 
  private:
@@ -278,17 +272,12 @@ class HeteroFlPolicy final : public CohortPolicy {
   void restore_state(SnapshotReader& r) override { global_ = r.params(); }
 
   void evaluate(std::size_t, RunResult& result) override {
-    double sum = 0.0;
+    std::vector<EvalHead> heads;
     for (std::size_t l = 0; l < level_plans_.size(); ++l) {
-      const double acc =
-          eval_params(spec_, level_plans_[l], {},
-                      prune_params(global_, spec_, level_plans_[l]), data_.test,
-                      config_.eval_batch);
-      result.level_acc[level_labels_[l]] = acc;
-      sum += acc;
-      if (l == 0) result.final_full_acc = acc;
+      heads.emplace_back(level_labels_[l], build_model(spec_, level_plans_[l]),
+                         prune_params(global_, spec_, level_plans_[l]));
     }
-    result.final_avg_acc = sum / 3.0;
+    record_heads(std::move(heads), data_.test, config_.eval_batch, result);
   }
 
  private:

@@ -6,7 +6,6 @@
 
 #include "arch/stats.hpp"
 #include "engine/round_engine.hpp"
-#include "fl/evaluate.hpp"
 #include "prune/rolling.hpp"
 
 namespace afl {
@@ -90,20 +89,16 @@ class RollingFlPolicy final : public RoundPolicy {
   void restore_state(SnapshotReader& r) override { global_ = r.params(); }
 
   void evaluate(std::size_t round, RunResult& result) override {
-    double sum = 0.0;
-    for (std::size_t l = 0; l < level_ratios_.size(); ++l) {
+    std::vector<EvalHead> heads;
+    for (double ratio : level_ratios_) {
       // Evaluate the level submodels through the *current* round's window.
-      const RollingPlan plan = make_rolling_plan(spec_, level_ratios_[l], round);
-      Model m = build_model(spec_, uniform_plan(spec_, level_ratios_[l]));
-      m.import_params(rolling_extract(global_, spec_, plan));
-      const double acc = afl::evaluate(m, data_.test, config_.eval_batch).accuracy;
+      const RollingPlan plan = make_rolling_plan(spec_, ratio, round);
       char label[16];
-      std::snprintf(label, sizeof(label), "%.2fx", level_ratios_[l]);
-      result.level_acc[label] = acc;
-      sum += acc;
-      if (l == 0) result.final_full_acc = acc;
+      std::snprintf(label, sizeof(label), "%.2fx", ratio);
+      heads.emplace_back(label, build_model(spec_, uniform_plan(spec_, ratio)),
+                         rolling_extract(global_, spec_, plan));
     }
-    result.final_avg_acc = sum / 3.0;
+    record_heads(std::move(heads), data_.test, config_.eval_batch, result);
   }
 
  private:

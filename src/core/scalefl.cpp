@@ -104,21 +104,16 @@ class ScaleFlPolicy final : public RoundPolicy {
   void restore_state(SnapshotReader& r) override { global_ = r.params(); }
 
   void evaluate(std::size_t, RunResult& result) override {
-    double sum = 0.0;
-    for (std::size_t l = 0; l < levels_.size(); ++l) {
-      const ScaleFlLevel& level = levels_[l];
+    std::vector<EvalHead> heads;
+    for (const ScaleFlLevel& level : levels_) {
       // Evaluate the level submodel through its own (deepest) classifier.
       BuildOptions eval_options = level.options;
       eval_options.exits.clear();  // attached heads don't affect forward()
-      const double acc = eval_params(
-          spec_, level.plan, eval_options,
-          prune_to_shapes(global_, model_shapes(spec_, level.plan, eval_options)),
-          data_.test, config_.eval_batch);
-      result.level_acc[level.label] = acc;
-      sum += acc;
-      if (l == 0) result.final_full_acc = acc;
+      heads.emplace_back(
+          level.label, build_model(spec_, level.plan, nullptr, eval_options),
+          prune_to_shapes(global_, model_shapes(spec_, level.plan, eval_options)));
     }
-    result.final_avg_acc = sum / static_cast<double>(levels_.size());
+    record_heads(std::move(heads), data_.test, config_.eval_batch, result);
   }
 
  private:

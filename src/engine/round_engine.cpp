@@ -17,7 +17,7 @@
 #include "engine/lifecycle.hpp"
 #include "engine/snapshot.hpp"
 #include "engine/telemetry.hpp"
-#include "engine/thread_pool.hpp"
+#include "fl/evaluate.hpp"
 #include "fl/shard_aggregator.hpp"
 #include "obs/http.hpp"
 #include "obs/metrics.hpp"
@@ -26,6 +26,7 @@
 #include "obs/status.hpp"
 #include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace afl {
 
@@ -629,6 +630,11 @@ void RoundEngine::Run::open_window(std::size_t round) {
 
 void RoundEngine::Run::evaluate(std::size_t round) {
   AFL_PROF_SPAN("engine.evaluate");
+  struct Lend {
+    RoundPolicy& policy;
+    ~Lend() { policy.lend_pool(nullptr); }
+  } lend{policy_};
+  policy_.lend_pool(&pool_);
   policy_.evaluate(round, result_);
   result_.curve.push_back({round, result_.final_full_acc, result_.final_avg_acc,
                            result_.comm.waste_rate(), result_.comm.round_waste_rate()});
@@ -1016,6 +1022,25 @@ RunResult RoundEngine::Run::events() {
   return complete();
 }
 
+RoundPolicy::EvalHead::EvalHead(std::string label, Model model, const ParamSet& params)
+    : label(std::move(label)), model(std::move(model)) {
+  this->model.import_params(params);
+}
+
+void RoundPolicy::record_heads(std::vector<EvalHead> heads, const Dataset& test,
+                               std::size_t eval_batch, RunResult& result) const {
+  std::vector<Model*> models;
+  for (EvalHead& h : heads) models.push_back(&h.model);
+  const std::vector<EvalResult> evals = evaluate_heads(models, test, eval_batch, eval_pool_);
+  double sum = 0.0;
+  for (std::size_t h = 0; h < heads.size(); ++h) {
+    result.level_acc[heads[h].label] = evals[h].accuracy;
+    sum += evals[h].accuracy;
+  }
+  result.final_full_acc = evals.front().accuracy;
+  result.final_avg_acc = sum / static_cast<double>(heads.size());
+}
+
 RoundEngine::RoundEngine(const FlRunConfig& config, const std::vector<DeviceSim>* devices,
                          const pop::Population* population,
                          const hier::HierConfig& hier, const async::AsyncConfig& async)
@@ -1027,6 +1052,9 @@ RoundEngine::RoundEngine(const FlRunConfig& config, const std::vector<DeviceSim>
       threads_(config.threads > 0 ? config.threads : ThreadPool::threads_from_env()),
       transport_(config.net ? *config.net : net::NetConfig::from_env(),
                  config.seed) {
+  if (config_.eval_batch == 0) {
+    throw std::invalid_argument("RoundEngine: eval_batch must be positive");
+  }
   if (hier_.shards == 0) hier_.shards = 1;
   if (hier_.sync_every == 0) hier_.sync_every = 1;
   if (async_.enabled) {

@@ -12,7 +12,8 @@
 //                      failure bookkeeping, on_* feedback hooks)
 //                  -> [parallel]              execute (thread pool)
 //                  -> [sequential, shard-major] commit
-//                  -> aggregate -> end_round -> evaluate (when due)
+//                  -> aggregate -> end_round -> evaluate (when due; its
+//                     chunks fan out on the pool the engine lends it)
 //
 // Every dispatch runs through one per-dispatch pipeline (open: select ->
 // capacity -> adapt -> presence -> availability -> downlink; upload; then
@@ -72,10 +73,12 @@
 #include "hier/config.hpp"
 #include "net/transport.hpp"
 #include "nn/checkpoint.hpp"
+#include "nn/model.hpp"
 #include "nn/param.hpp"
 #include "pop/population.hpp"
 #include "sim/device.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace afl {
 
@@ -199,9 +202,15 @@ class RoundPolicy {
   }
 
   /// Evaluates the global model: fills result.level_acc and
-  /// result.final_full_acc / final_avg_acc. The engine appends the curve
-  /// point (with the comm-waste columns) afterwards.
+  /// result.final_full_acc / final_avg_acc (record_heads() does all three).
+  /// The engine appends the curve point (with the comm-waste columns)
+  /// afterwards.
   virtual void evaluate(std::size_t round, RunResult& result) = 0;
+
+  /// The engine lends its worker pool for the duration of each evaluate()
+  /// call (null otherwise: record_heads() then evaluates inline). evaluate()
+  /// never runs while the pool is inside a parallel_for.
+  void lend_pool(ThreadPool* pool) { eval_pool_ = pool; }
 
   /// Engine snapshot/resume (docs/POPULATION.md): serializes the policy's
   /// own state (global model, RL tables, ...) beyond what the engine
@@ -256,6 +265,23 @@ class RoundPolicy {
   [[noreturn]] void missing_hook(const std::string& what) const {
     throw std::runtime_error(algorithm_name() + " does not implement " + what);
   }
+
+  /// One evaluated head: its level label and its model, built and loaded.
+  struct EvalHead {
+    EvalHead(std::string label, Model model, const ParamSet& params);
+    std::string label;
+    Model model;
+  };
+
+  /// Scores `heads` (the full-size head first) on `test` in one
+  /// shared-prefix pass over the lent pool (fl::evaluate_heads) and records
+  /// result.level_acc[label] per head, final_full_acc = the first head's
+  /// accuracy and final_avg_acc = the mean over all heads.
+  void record_heads(std::vector<EvalHead> heads, const Dataset& test,
+                    std::size_t eval_batch, RunResult& result) const;
+
+ private:
+  ThreadPool* eval_pool_ = nullptr;
 };
 
 /// Drives a RoundPolicy through config.rounds rounds (or buffer flushes in

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "fl/evaluate.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -146,14 +145,6 @@ RoundTelemetry::~RoundTelemetry() {
   ev.field("dur_ms", m_.round_seconds * 1e3);
   ev.emit();
   result_.round_metrics.push_back(m_);
-}
-
-double eval_params(const ArchSpec& spec, const WidthPlan& plan,
-                   const BuildOptions& options, const ParamSet& params,
-                   const Dataset& test, std::size_t eval_batch) {
-  Model model = build_model(spec, plan, /*init_rng=*/nullptr, options);
-  model.import_params(params);
-  return evaluate(model, test, eval_batch).accuracy;
 }
 
 std::vector<std::size_t> sample_clients(std::size_t num_clients, std::size_t k,

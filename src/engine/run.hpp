@@ -196,11 +196,6 @@ class RoundTelemetry {
   bool has_sim_ = false;
 };
 
-/// Evaluates a parameter set by materializing its model.
-double eval_params(const ArchSpec& spec, const WidthPlan& plan,
-                   const BuildOptions& options, const ParamSet& params,
-                   const Dataset& test, std::size_t eval_batch);
-
 /// K distinct client indices drawn uniformly at random.
 std::vector<std::size_t> sample_clients(std::size_t num_clients, std::size_t k,
                                         Rng& rng);

@@ -37,7 +37,8 @@ Tensor Conv2D::forward(const Tensor& x, bool train) {
   const std::size_t wide = n * spatial;
   Tensor out({n, out_c_, g.out_h(), g.out_w()});
 
-  std::vector<float>& cols = train ? cached_cols_ : scratch_cols_;
+  std::vector<float> inference_cols;
+  std::vector<float>& cols = train ? cached_cols_ : inference_cols;
   cols.resize(ckk * wide);
   const std::size_t in_plane = in_c_ * g.height * g.width;
   for (std::size_t i = 0; i < n; ++i) {

@@ -27,9 +27,10 @@ class Conv2D final : public Layer {
   std::size_t in_c_, out_c_, kernel_, stride_, pad_;
   bool has_bias_;
   Tensor w_, b_, gw_, gb_;
-  // Batched im2col buffer kept between forward(train) and backward; the
-  // scratch buffer serves inference so eval doesn't thrash the cached one.
-  std::vector<float> cached_cols_, scratch_cols_;
+  // Batched im2col buffer kept between forward(train) and backward.
+  // Inference lowers into a call-local buffer instead, so forward(x, false)
+  // writes no member state and may run concurrently on one shared layer.
+  std::vector<float> cached_cols_;
   ConvGeom cached_geom_{};
 };
 

@@ -16,7 +16,9 @@ class Layer {
 
   /// Computes the layer output. When `train` is true the layer caches whatever
   /// backward() needs; forward(train=true) must be followed by at most one
-  /// backward() before the next forward.
+  /// backward() before the next forward. forward(x, false) must write no
+  /// member state: the evaluator (fl/evaluate.hpp) runs it concurrently on
+  /// one shared layer.
   virtual Tensor forward(const Tensor& x, bool train) = 0;
 
   /// Given dLoss/dOutput, accumulates parameter gradients and returns

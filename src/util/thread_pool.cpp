@@ -1,7 +1,8 @@
-#include "engine/thread_pool.hpp"
+#include "util/thread_pool.hpp"
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 
 #include "util/env.hpp"
 
@@ -26,6 +27,13 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
+  if (active_.exchange(true)) {
+    throw std::logic_error("ThreadPool::parallel_for called while a batch is active");
+  }
+  struct Release {
+    std::atomic<bool>& flag;
+    ~Release() { flag.store(false); }
+  } release{active_};
   if (workers_.empty()) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;

@@ -1,10 +1,11 @@
 #pragma once
-// Fixed-size thread pool for intra-round client parallelism.
+// Fixed-size thread pool for intra-round parallelism.
 //
-// The pool exists to run the engine's client work items (build -> import ->
-// local_train -> export) concurrently; determinism is the caller's problem
-// and is solved upstream by giving every work item its own derived RNG and
-// committing results at sequential points (see round_engine.hpp). With one
+// The pool runs the engine's client work items (build -> import ->
+// local_train -> export) and the chunks of the multi-head evaluator
+// (fl/evaluate.hpp) concurrently; determinism is the caller's problem and is
+// solved upstream by giving every work item its own derived RNG or output
+// slot and reducing results at sequential points (see round_engine.hpp). With one
 // thread the pool spawns no workers at all and parallel_for degenerates to a
 // plain loop on the calling thread.
 
@@ -31,8 +32,9 @@ class ThreadPool {
 
   /// Runs fn(0..n-1), distributing indices dynamically over the workers, and
   /// blocks until every index completed. If any invocation throws, the first
-  /// exception is rethrown here after the batch drains. Not reentrant: must
-  /// not be called from inside fn.
+  /// exception is rethrown here after the batch drains. Not reentrant: a call
+  /// while another parallel_for is active (e.g. from inside fn) throws
+  /// std::logic_error.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// Thread count resolved from the AFL_THREADS environment variable
@@ -55,6 +57,7 @@ class ThreadPool {
   std::uint64_t epoch_ = 0;
   bool stop_ = false;
   std::exception_ptr first_error_;
+  std::atomic<bool> active_{false};
 };
 
 }  // namespace afl

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "engine/round_engine.hpp"
-#include "engine/thread_pool.hpp"
+#include "util/thread_pool.hpp"
 
 namespace afl {
 namespace {
